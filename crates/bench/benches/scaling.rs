@@ -5,7 +5,7 @@
 //!   coarse tasks, so at most four workers can help regardless of how
 //!   wide the pool is;
 //! * **per_antenna_layer** — the fine-grained task graph
-//!   ([`lte_uplink::benchmark::spawn_user_graph`]): channel estimation
+//!   ([`lte_uplink::dispatch::spawn_user_graph`]): channel estimation
 //!   per antenna×layer, combining per symbol×layer and a decode join,
 //!   dozens of stealable tasks per user.
 //!
@@ -23,7 +23,7 @@ use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
 use lte_phy::receiver::{process_user_pooled, UserScratch};
 use lte_sched::TaskPool;
-use lte_uplink::benchmark::spawn_user_graph;
+use lte_uplink::dispatch::spawn_user_graph;
 
 /// The same 100-PRB user mix `lte-sim perf` replays each subframe.
 const STEADY_STATE_USERS: [(usize, usize, Modulation); 4] = [
@@ -79,7 +79,6 @@ fn bench_task_granularity(c: &mut Criterion) {
                         input,
                         TurboMode::Passthrough,
                         &planner,
-                        false,
                         Box::new(|result| {
                             black_box(result.crc_ok);
                         }),

@@ -779,7 +779,7 @@ fn run_perf_cmd(opts: &Options) {
         report.speedup()
     );
     println!(
-        "subframe latency p50 {:.0} us, p99 {:.0} us; CRC pass rate {:.1}%",
+        "completion spacing p50 {:.0} us, p99 {:.0} us; CRC pass rate {:.1}%",
         report.p50_latency_us,
         report.p99_latency_us,
         100.0 * report.crc_pass_rate
@@ -817,41 +817,15 @@ fn run_perf_cmd(opts: &Options) {
             );
         }
     }
-    if let Some(baseline_path) = &opts.baseline {
-        let baseline = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            std::process::exit(1);
-        });
-        match perf::check_against_baseline(report, &baseline) {
-            Ok(()) => println!(
-                "throughput holds against the baseline in {}",
-                baseline_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(baseline_path) = &opts.decode_baseline {
-        let baseline = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read decode baseline {}: {e}",
-                baseline_path.display()
-            );
-            std::process::exit(1);
-        });
-        match perf::check_decode_against_baseline(&decode, &baseline) {
-            Ok(()) => println!(
-                "decode-tail throughput holds against the baseline in {}",
-                baseline_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate_on_baseline(opts.baseline.as_deref(), "", "throughput", |b| {
+        perf::check_against_baseline(report, b)
+    });
+    gate_on_baseline(
+        opts.decode_baseline.as_deref(),
+        "decode ",
+        "decode-tail throughput",
+        |b| perf::check_decode_against_baseline(&decode, b),
+    );
 
     if interrupted() {
         println!("interrupted by signal: BENCH_PR3.json flushed, skipping the scaling matrix");
@@ -910,25 +884,35 @@ fn run_perf_cmd(opts: &Options) {
             p.pool.lifo_slot_hits
         );
     }
-    if let Some(baseline_path) = &opts.scaling_baseline {
-        let baseline = fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read scaling baseline {}: {e}",
-                baseline_path.display()
-            );
-            std::process::exit(1);
-        });
-        match perf::check_scaling_against_baseline(&scaling, &baseline) {
-            Ok(()) => println!(
-                "scaling holds against the baseline in {}",
-                baseline_path.display()
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
+    gate_on_baseline(
+        opts.scaling_baseline.as_deref(),
+        "scaling ",
+        "scaling",
+        |b| perf::check_scaling_against_baseline(&scaling, b),
+    );
+}
+
+/// One perf regression gate: reads the committed baseline at `path`
+/// (when given) and applies `check` to it. Prints that `what` holds on
+/// success; exits 1 on an unreadable baseline or a regression.
+fn gate_on_baseline(
+    path: Option<&Path>,
+    kind: &str,
+    what: &str,
+    check: impl FnOnce(&str) -> Result<(), String>,
+) {
+    let Some(path) = path else {
+        return;
+    };
+    let baseline = fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {kind}baseline {}: {e}", path.display());
+        std::process::exit(1);
+    });
+    if let Err(e) = check(&baseline) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
+    println!("{what} holds against the baseline in {}", path.display());
 }
 
 fn run_trace_cmd(opts: &Options) {

@@ -10,10 +10,10 @@
 //! the per-cell scheduler grants at most [`MAX_USERS`] allocations
 //! within the cell's PRB budget, and the rest of the offered load is
 //! counted as deferred (DTX at the measurement box). One receiver runs
-//! per cell; all of them shard onto the *same* work-stealing pool, with
-//! [`interleave_shards`] releasing work round-robin across cells so no
-//! wide cell monopolises the queue head and [`ShardCounters`] proving
-//! every cell drained.
+//! per cell; all of them shard onto the *same* work-stealing pool through
+//! `Dispatcher::dispatch`, which releases work round-robin across
+//! cells so no wide cell monopolises the queue head, with per-cell shard
+//! counters proving every cell drained.
 //!
 //! # Determinism
 //!
@@ -59,7 +59,7 @@
 //! purposes the repetitions occupy distinct narrowband carriers
 //! (multi-tone first-fit), keeping the field construction uniform.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
@@ -72,19 +72,14 @@ use lte_phy::params::{
 use lte_phy::receiver::UserResult;
 use lte_phy::tx::{prewarm_cell, synthesize_retransmission, synthesize_user_with_mode};
 use lte_power::{CoreController, WorkloadEstimator};
-use lte_sched::pool::{PoolConfig, TaskPool};
-use lte_sched::{interleave_shards, ShardCounters};
+use lte_sched::pool::PoolConfig;
 
-use crate::benchmark::spawn_user_graph;
+use crate::dispatch::{Dispatcher, Row, SYNTH_SNR_DB};
 use crate::fingerprint::Fnv1a;
 use crate::serve::TrafficModel;
 
 /// Version tag of the `DEPLOY.json` artifact.
 pub const DEPLOY_SCHEMA: &str = "lte-sim-deploy-v1";
-
-/// Synthesis SNR for deployment traffic (clean decodes at zero
-/// coupling, matching the batch benchmark's default).
-const DEPLOY_SNR_DB: f64 = 30.0;
 
 /// UE-population unit behind one arrival-generator draw: a cell with
 /// `POP_UNIT` UEs offers the traffic model's nominal arrivals; larger
@@ -254,36 +249,6 @@ fn schedule_tick(
         offered,
         deferred,
     }
-}
-
-/// Every user configuration a traffic model can emit under a cell kind —
-/// the prewarm set, so reference/interleaver/FFT caches are populated
-/// before the first tick.
-fn prewarm_palette(kind: CellKind, traffic: TrafficModel) -> Vec<UserConfig> {
-    let base = match traffic {
-        TrafficModel::FullBuffer => vec![
-            UserConfig::new(16, 2, Modulation::Qam16),
-            UserConfig::new(20, 2, Modulation::Qam16),
-            UserConfig::new(25, 2, Modulation::Qam16),
-            UserConfig::new(12, 1, Modulation::Qpsk),
-            UserConfig::new(4, 1, Modulation::Qpsk),
-        ],
-        TrafficModel::BurstyIot | TrafficModel::Voip => vec![
-            UserConfig::new(2, 1, Modulation::Qpsk),
-            UserConfig::new(3, 1, Modulation::Qpsk),
-        ],
-    };
-    let mut out: Vec<UserConfig> = Vec::new();
-    for u in base {
-        let u = match kind {
-            CellKind::Macro => u,
-            CellKind::NbIot => nbiot_grant(u),
-        };
-        if !out.contains(&u) {
-            out.push(u);
-        }
-    }
-    out
 }
 
 /// One cell's radiated frequency-domain field for one tick:
@@ -490,26 +455,31 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
     if cfg.workers == 0 {
         return Err("a deployment needs at least one worker".into());
     }
-    let pool = TaskPool::with_config(PoolConfig {
-        n_workers: cfg.workers,
-        pin_workers: false,
-    })
-    .map_err(|e| format!("failed to start the worker pool: {e}"))?;
-    let handle = pool.handle();
     let planner = Arc::new(FftPlanner::new());
     let turbo = TurboMode::Passthrough;
+    // One shard per cell: the dispatcher's shard counters prove every
+    // cell drained.
+    let dispatcher = Dispatcher::new(
+        PoolConfig {
+            n_workers: cfg.workers,
+            pin_workers: false,
+        },
+        Arc::clone(&planner),
+        turbo,
+        None,
+        cfg.cells,
+    )
+    .map_err(|e| format!("failed to start the worker pool: {e}"))?;
     let reps = match cfg.kind {
         CellKind::Macro => 1,
         CellKind::NbIot => NBIOT_REPETITIONS,
     };
     let coupling = cfg.coupling_milli as f32 / 1000.0;
 
-    let palette = prewarm_palette(cfg.kind, cfg.traffic);
     let mut cells: Vec<CellState> = (0..cfg.cells)
         .map(|i| {
             let cell_id = cfg.first_cell + i;
             let config = CellConfig::with_identity(2, cell_id);
-            prewarm_cell(&config, &palette, &planner);
             CellState {
                 config,
                 population: cfg.ues / cfg.cells + usize::from(i < cfg.ues % cfg.cells),
@@ -523,7 +493,6 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
         .collect();
 
     let bank = EblerBank::new(cells.iter().map(|c| format!("cell{}", c.config.cell_id)), 1);
-    let shards = Arc::new(ShardCounters::new(cfg.cells));
     // Eq. 3 slopes: the flat library calibration serve uses; the Eq. 5
     // controller stays on the paper's 62-core machine so the estimate —
     // and hence the report — is independent of the host's worker count.
@@ -545,13 +514,16 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
                 cell_seed(cfg.seed, cell.config.cell_id as u64),
                 tick,
             );
+            // Prewarm the reference/interleaver/FFT caches for this
+            // tick's grants before any task can read them.
+            prewarm_cell(&cell.config, &sched.subframe.users, &planner);
             let mut inputs = Vec::with_capacity(sched.subframe.users.len() * reps);
             for user in &sched.subframe.users {
                 let first = synthesize_user_with_mode(
                     &cell.config,
                     user,
                     turbo,
-                    DEPLOY_SNR_DB,
+                    SYNTH_SNR_DB,
                     &mut cell.rng,
                 );
                 let payload = first.ground_truth.clone();
@@ -562,7 +534,7 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
                         user,
                         turbo,
                         &payload,
-                        DEPLOY_SNR_DB,
+                        SYNTH_SNR_DB,
                         &mut cell.rng,
                     ));
                 }
@@ -627,33 +599,16 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
             .into_iter()
             .map(|inputs| inputs.into_iter().map(Arc::new).collect())
             .collect();
-        let counts: Vec<usize> = arcs.iter().map(Vec::len).collect();
-        let slots: Vec<Vec<Arc<OnceLock<UserResult>>>> = counts
+        let shards: Vec<(&CellConfig, &[Arc<UserInput>])> = cells
             .iter()
-            .map(|&n| (0..n).map(|_| Arc::new(OnceLock::new())).collect())
+            .zip(&arcs)
+            .map(|(cell, inputs)| (&cell.config, inputs.as_slice()))
             .collect();
-        for (ci, item) in interleave_shards(&counts) {
-            shards.record_spawned(ci, 1);
-            let slot = Arc::clone(&slots[ci][item]);
-            let counters = Arc::clone(&shards);
-            spawn_user_graph(
-                &handle,
-                &cells[ci].config,
-                &arcs[ci][item],
-                turbo,
-                &planner,
-                false,
-                Box::new(move |result| {
-                    slot.set(result)
-                        .expect("each (cell, user) slot is written once");
-                    counters.record_completed(ci);
-                }),
-            );
-        }
-        pool.wait_all();
-        if !shards.all_drained() {
+        let rows = dispatcher.dispatch(&shards);
+        if !dispatcher.wait_all() {
             return Err(format!("tick {tick}: shard accounting failed to drain"));
         }
+        let slots: Vec<Vec<UserResult>> = rows.into_iter().map(Row::harvest).collect();
 
         // ---- Deterministic harvest, (cell, user) order. -------------
         for (ci, cell) in cells.iter_mut().enumerate() {
@@ -663,17 +618,9 @@ pub fn run_deploy(cfg: &DeployConfig) -> Result<DeployReport, String> {
             cell.scheduled += sched.subframe.users.len() as u64;
             for ui in 0..sched.subframe.users.len() {
                 let chunk = &slots[ci][ui * reps..(ui + 1) * reps];
-                let results: Vec<&UserResult> = chunk
-                    .iter()
-                    .map(|s| s.get().expect("slot is set after the pool drained"))
-                    .collect();
                 // Selection combining: the first repetition that
                 // survives its CRC wins; otherwise report the first.
-                let selected = results
-                    .iter()
-                    .copied()
-                    .find(|r| r.crc_ok)
-                    .unwrap_or(results[0]);
+                let selected = chunk.iter().find(|r| r.crc_ok).unwrap_or(&chunk[0]);
                 bank.record_decode(ci, 0, selected.crc_ok, selected.payload.len() as u64);
                 cell.hash.write_u64(tick);
                 cell.hash.write_u64(ui as u64);
@@ -754,14 +701,5 @@ mod tests {
         assert_ne!(cell_seed(7, 0), cell_seed(7, 1));
         assert_ne!(cell_seed(7, 0), cell_seed(8, 0));
         assert_eq!(cell_seed(7, 3), cell_seed(7, 3));
-    }
-
-    #[test]
-    fn prewarm_palette_is_deduplicated() {
-        let p = prewarm_palette(CellKind::NbIot, TrafficModel::FullBuffer);
-        for (i, a) in p.iter().enumerate() {
-            assert!(!p[i + 1..].contains(a));
-        }
-        assert!(!p.is_empty());
     }
 }

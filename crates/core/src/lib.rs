@@ -11,6 +11,9 @@
 //!   real DSP pipeline (channel estimation → combiner weights → antenna
 //!   combining → demap → decode → CRC) with results verified against the
 //!   serial golden reference (§IV of the paper).
+//! * [`dispatch`] — the dispatch core under `benchmark`, `serve` and
+//!   `deploy`: the pool, the in-flight window, per-row result slots and
+//!   completion stamps, the input cache, and the per-user task graph.
 //! * [`experiments`] — deterministic reproductions of every figure and
 //!   table in the paper's evaluation, driven by the 64-core discrete-
 //!   event simulator and the calibrated power model.
@@ -58,6 +61,7 @@ pub mod chaos;
 pub mod cli;
 pub mod conformance;
 pub mod deploy;
+pub mod dispatch;
 pub mod experiments;
 pub mod fingerprint;
 pub mod govern;
@@ -69,10 +73,7 @@ pub mod soak;
 pub mod svg;
 pub mod trace;
 
-pub use benchmark::{
-    BenchmarkConfig, BenchmarkRun, BenchmarkTelemetry, DegradationReport, PoolActivity,
-    UplinkBenchmark,
-};
+pub use benchmark::{BenchmarkConfig, BenchmarkRun, PoolActivity, UplinkBenchmark};
 pub use chaos::{ChaosArtifacts, ChaosSummary};
 pub use conformance::{compute_vectors, diff_vectors, parse_golden, render_golden, KernelVector};
 pub use deploy::{run_deploy, CellKind, CellReport, DeployConfig, DeployReport};

@@ -12,10 +12,10 @@
 //!   ([`lte_fault::TokenBucket`]), malformed-arrival refusal, and the
 //!   reject tier of the escalation ladder at the front door.
 //! * **Backpressure escalation** — [`lte_fault::EscalationState`]
-//!   walks reject → shed → degrade as an overload episode persists,
-//!   reusing the batch path's shed-cheapest-users and degrade-demap
-//!   mitigations so every admitted subframe still decodes through the
-//!   identical kernels.
+//!   walks reject → shed → degrade as an overload episode persists:
+//!   shedding drops the cheapest users (`shed_cheapest`) and degrade
+//!   is a counted tier, so every admitted subframe still decodes
+//!   through the identical max-log kernels.
 //! * **Power coupling** — the per-tick governor is the paper's
 //!   [`lte_power::PolicyGovernor`] wrapped in a
 //!   [`lte_power::PressureGovernor`]: queue occupancy raises the core
@@ -34,13 +34,10 @@
 //! wall clock only influences *when* work runs and the host-telemetry
 //! section of the report.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use lte_dsp::fft::FftPlanner;
-use lte_dsp::interleave::prewarm_subblock;
 use lte_dsp::{Modulation, Xoshiro256};
 use lte_fault::{EscalationLadder, EscalationState, IngestFaults, TokenBucket};
 use lte_obs::{
@@ -50,7 +47,6 @@ use lte_obs::{
 use lte_phy::grid::UserInput;
 use lte_phy::params::{CellConfig, SubframeConfig, TurboMode, UserConfig};
 use lte_phy::receiver::UserResult;
-use lte_phy::tx::{prewarm_references, synthesize_user_with_mode};
 use lte_phy::verify::GoldenRecord;
 use lte_power::{
     governed_boundary, CoreController, NapPolicy, PolicyGovernor, PressureGovernor, UserLoad,
@@ -59,12 +55,8 @@ use lte_power::{
 use lte_sched::pool::{PoolConfig, TaskPool};
 use lte_sched::IngestQueue;
 
-use crate::benchmark::{pace_until, spawn_user_graph};
+use crate::dispatch::{Dispatcher, InputCache, Row, SYNTH_SNR_DB};
 use crate::fingerprint::fingerprint_results;
-
-/// The synthesis SNR for generated traffic (clean decodes, matching
-/// the batch benchmark's default).
-const SERVE_SNR_DB: f64 = 30.0;
 
 /// Built-in deterministic traffic generators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -401,9 +393,6 @@ pub struct ServeConfig {
     pub stall_timeout: Duration,
     /// Watchdog restarts allowed before the run aborts.
     pub max_restarts: u64,
-    /// Use the exact log-sum-exp demapper until degraded (the batch
-    /// path's default is max-log, `false`).
-    pub exact_demap: bool,
     /// Dispatched-but-incomplete subframes allowed before dispatch
     /// blocks (bounds memory on slow hosts).
     pub max_in_flight: usize,
@@ -431,7 +420,6 @@ impl ServeConfig {
             deadline_ticks: 3,
             stall_timeout: Duration::from_secs(5),
             max_restarts: 3,
-            exact_demap: false,
             max_in_flight: 8,
             verify: true,
         }
@@ -523,16 +511,6 @@ struct WindowAccum {
     chaos_active: bool,
 }
 
-/// A dispatched subframe's bookkeeping row.
-struct DispatchRow {
-    /// The inputs actually decoded.
-    inputs: Vec<Arc<UserInput>>,
-    /// Result slots, filled by completion callbacks.
-    results: Vec<Arc<OnceLock<UserResult>>>,
-    /// Whether the row was demapped exactly.
-    exact: bool,
-}
-
 /// Runs one serve campaign to drain. See the module docs for the
 /// loop's structure.
 ///
@@ -542,14 +520,26 @@ struct DispatchRow {
 /// watchdog exhausts its restart budget, or (with `verify`) the
 /// decoded bytes diverge from the serial reference.
 pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutcome, String> {
-    let pool = TaskPool::with_config(PoolConfig {
-        n_workers: cfg.workers,
-        pin_workers: false,
-    })
-    .map_err(|e| format!("failed to start the worker pool: {e}"))?;
-    let handle = pool.handle();
-    let planner = Arc::new(FftPlanner::new());
     let cell = CellConfig::with_antennas(2);
+    let turbo = TurboMode::Passthrough;
+    // Input pool: synthesised once per distinct user config, in
+    // encounter order from the campaign seed — the same unique-input
+    // pool as the batch benchmark, so admission order (which is
+    // deterministic) fully determines every payload bit.
+    let mut input_cache = InputCache::new(cell, turbo, SYNTH_SNR_DB);
+    let mut synth_rng = Xoshiro256::seed_from_u64(cfg.seed);
+    let dispatcher = Dispatcher::new(
+        PoolConfig {
+            n_workers: cfg.workers,
+            pin_workers: false,
+        },
+        Arc::clone(input_cache.planner()),
+        turbo,
+        Some(cfg.max_in_flight),
+        1,
+    )
+    .map_err(|e| format!("failed to start the worker pool: {e}"))?;
+    let pool = dispatcher.pool();
 
     let mut params = cfg.params.clone();
     let mut escalation =
@@ -580,42 +570,8 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         cfg.workers,
     );
 
-    // Input pool: synthesised once per distinct user config, in
-    // encounter order from the campaign seed — the same unique-input
-    // pool discipline as the batch benchmark, so admission order (which
-    // is deterministic) fully determines every payload bit.
-    let mut input_cache: HashMap<UserConfig, Arc<UserInput>> = HashMap::new();
-    let mut synth_rng = Xoshiro256::seed_from_u64(cfg.seed);
-    let turbo = TurboMode::Passthrough;
-    let input_for = |user: &UserConfig,
-                     cache: &mut HashMap<UserConfig, Arc<UserInput>>,
-                     rng: &mut Xoshiro256|
-     -> Arc<UserInput> {
-        if let Some(input) = cache.get(user) {
-            return Arc::clone(input);
-        }
-        planner.prewarm(std::iter::once(user.prbs));
-        prewarm_subblock(std::iter::once(user.bits_per_subframe()));
-        prewarm_references(&cell, user);
-        let input = Arc::new(synthesize_user_with_mode(
-            &cell,
-            user,
-            turbo,
-            SERVE_SNR_DB,
-            rng,
-        ));
-        cache.insert(*user, Arc::clone(&input));
-        input
-    };
-
-    // Shared completion-side state.
-    let in_flight: Arc<(Mutex<usize>, Condvar)> = Arc::new((Mutex::new(0), Condvar::new()));
-    let crc_pass = Arc::new(AtomicU64::new(0));
-    let jobs_completed = Arc::new(AtomicU64::new(0));
-    let completed_rows = Arc::new(AtomicU64::new(0));
-    let latency = Arc::new(Histogram::new());
-
-    let mut rows: Vec<DispatchRow> = Vec::new();
+    let mut rows: Vec<Arc<Row>> = Vec::new();
+    let mut row_inputs: Vec<Vec<Arc<UserInput>>> = Vec::new();
     let mut windows: Vec<ServeWindow> = Vec::new();
     let mut accum = WindowAccum::default();
     let mut lifecycle = vec![LifecycleEvent {
@@ -638,7 +594,6 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     let mut miss_streak: u64 = 0;
     let window_len = cfg.window.max(1);
 
-    let start = Instant::now();
     let mut tick: u64 = 0;
     let drain_reason;
     loop {
@@ -651,7 +606,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             drain_reason = DrainReason::CampaignComplete;
             break;
         }
-        pace_until(start + cfg.delta.saturating_mul(tick as u32));
+        dispatcher.pace(cfg.delta, tick);
 
         let staged = control.take_reload().or_else(|| {
             cfg.reload_at
@@ -685,7 +640,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
             pool.inject_worker_kill();
         }
         if cfg.force_restart_at == Some(tick) {
-            restart_pipeline(&pool, cfg.workers);
+            restart_pipeline(pool, cfg.workers);
             restarts += 1;
             counters.watchdog_restart();
             lifecycle.push(LifecycleEvent {
@@ -773,26 +728,13 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 miss_streak = 0;
             }
 
-            // Shed cheapest-first, identical to the batch path's
-            // ShedUsers policy: lowest PRB count (then index) goes
-            // first, until at most half the PRB load remains; always
-            // shed one, always keep one.
             let mut submit: Vec<usize> = (0..item.sf.n_users()).collect();
             if decision.shed_users && submit.len() > 1 {
-                let total: usize = item.sf.users.iter().map(|u| u.prbs).sum();
-                submit.sort_by_key(|&i| (item.sf.users[i].prbs, i));
-                let mut kept = total;
-                let mut shed = 0usize;
-                while submit.len() > 1 && (shed == 0 || kept * 2 > total) {
-                    kept -= item.sf.users[submit[0]].prbs;
-                    submit.remove(0);
-                    shed += 1;
-                }
-                submit.sort_unstable();
-                counters.shed(shed as u64);
-                accum.shed_jobs += shed as u64;
+                submit = shed_cheapest(&item.sf.users);
+                let shed = (item.sf.n_users() - submit.len()) as u64;
+                counters.shed(shed);
+                accum.shed_jobs += shed;
             }
-            let exact = cfg.exact_demap && !decision.degrade_demap;
             if decision.degrade_demap {
                 counters.degraded();
             }
@@ -805,19 +747,16 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
                 .map(|&i| UserLoad::from(&item.sf.users[i]))
                 .collect();
             governor.set_pressure(fill);
-            let mut substrate = &pool;
+            let mut substrate = pool;
             governed_boundary(&mut substrate, &mut governor, tick as usize, &loads);
 
             // Bound the dispatch pipeline; a stall here is what the
             // watchdog turns into a bounded restart.
             wait_for_slot(
-                &in_flight,
-                cfg.max_in_flight.max(1),
+                &dispatcher,
                 cfg.stall_timeout,
-                &completed_rows,
                 &mut restarts,
                 cfg.max_restarts,
-                &pool,
                 cfg.workers,
                 &counters,
                 &mut lifecycle,
@@ -826,70 +765,17 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
 
             let inputs: Vec<Arc<UserInput>> = submit
                 .iter()
-                .map(|&i| input_for(&item.sf.users[i], &mut input_cache, &mut synth_rng))
+                .map(|&i| input_cache.get(&item.sf.users[i], &mut synth_rng))
                 .collect();
-            let results: Vec<Arc<OnceLock<UserResult>>> =
-                submit.iter().map(|_| Arc::new(OnceLock::new())).collect();
             accum.jobs += submit.len() as u64;
-
-            let open = Arc::new(AtomicU64::new(submit.len() as u64));
-            let dispatched_ns = start.elapsed().as_nanos() as u64;
-            if !submit.is_empty() {
-                *in_flight.0.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-            }
-            for (slot, input) in results.iter().zip(&inputs) {
-                let slot = Arc::clone(slot);
-                let open = Arc::clone(&open);
-                let in_flight = Arc::clone(&in_flight);
-                let crc_pass = Arc::clone(&crc_pass);
-                let jobs_completed = Arc::clone(&jobs_completed);
-                let completed_rows = Arc::clone(&completed_rows);
-                let latency = Arc::clone(&latency);
-                let counters_cb = Arc::clone(&counters);
-                let start_cb = start;
-                spawn_user_graph(
-                    &handle,
-                    &cell,
-                    input,
-                    turbo,
-                    &planner,
-                    exact,
-                    Box::new(move |result| {
-                        if result.crc_ok {
-                            crc_pass.fetch_add(1, Ordering::Relaxed);
-                        }
-                        jobs_completed.fetch_add(1, Ordering::Relaxed);
-                        slot.set(result).expect("each user slot is written once");
-                        if open.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            counters_cb.completed();
-                            completed_rows.fetch_add(1, Ordering::SeqCst);
-                            latency.record(
-                                (start_cb.elapsed().as_nanos() as u64)
-                                    .saturating_sub(dispatched_ns),
-                            );
-                            let (lock, cv) = &*in_flight;
-                            *lock.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-                            cv.notify_one();
-                        }
-                    }),
-                );
-            }
-            rows.push(DispatchRow {
-                inputs,
-                results,
-                exact,
-            });
-            if submit.is_empty() {
-                // A fully-shed row still completes immediately.
-                counters.completed();
-                completed_rows.fetch_add(1, Ordering::SeqCst);
-            }
+            rows.extend(dispatcher.dispatch(&[(&cell, &inputs)]));
+            row_inputs.push(inputs);
         }
 
         // ---- Window close. -----------------------------------------
         tick += 1;
         if tick.is_multiple_of(window_len) {
-            close_window(&mut tracker, &mut windows, &mut accum, &latency);
+            close_window(&mut tracker, &mut windows, &mut accum, dispatcher.latency());
         }
     }
 
@@ -907,13 +793,17 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         // than overrun the drain deadline decoding a backlog.
         counters.drain_shed(leftover.len() as u64);
     }
-    pool.wait_all();
+    dispatcher.wait_all();
+    // The pool has drained, so every dispatched row is complete.
+    for _ in 0..dispatcher.completed_rows() {
+        counters.completed();
+    }
     if accum.subframes > 0 || accum.jobs > 0 || accum.chaos_active {
-        close_window(&mut tracker, &mut windows, &mut accum, &latency);
+        close_window(&mut tracker, &mut windows, &mut accum, dispatcher.latency());
     }
     governor.inner_mut().close(None);
     let drain_elapsed = drain_start.elapsed();
-    let elapsed = start.elapsed();
+    let elapsed = dispatcher.elapsed();
     lifecycle.push(LifecycleEvent {
         tick,
         state: "drained".into(),
@@ -921,24 +811,19 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
     });
 
     // ---- Assemble results, fingerprint, verify. --------------------
-    let result_rows: Vec<Vec<UserResult>> = rows
-        .iter()
-        .map(|row| {
-            row.results
-                .iter()
-                .map(|slot| slot.get().expect("pool drained").clone())
-                .collect()
-        })
-        .collect();
+    let dispatched = rows.len() as u64;
+    let result_rows: Vec<Vec<UserResult>> = rows.into_iter().map(Row::harvest).collect();
     let fingerprint = fingerprint_results(&result_rows);
+    let results = result_rows.iter().flatten();
+    let jobs_completed = results.clone().count() as u64;
+    let crc_pass = results.filter(|r| r.crc_ok).count() as u64;
 
     let mut verify_error = None;
-    let all_max_log = rows.iter().all(|r| !r.exact);
-    let verified = cfg.verify && all_max_log;
+    let verified = cfg.verify;
     if verified {
-        let golden_inputs: Vec<Vec<UserInput>> = rows
+        let golden_inputs: Vec<Vec<UserInput>> = row_inputs
             .iter()
-            .map(|row| row.inputs.iter().map(|i| (**i).clone()).collect())
+            .map(|inputs| inputs.iter().map(|i| (**i).clone()).collect())
             .collect();
         let golden = GoldenRecord::build(&cell, &golden_inputs, turbo);
         if let Err(e) = golden.verify(&result_rows) {
@@ -946,7 +831,7 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         }
     }
 
-    let latency_snapshot = latency.snapshot();
+    let latency_snapshot = dispatcher.latency().snapshot();
     let snapshot = counters.snapshot();
     let outcome = ServeOutcome {
         snapshot,
@@ -959,9 +844,9 @@ pub fn run_serve(cfg: &ServeConfig, control: &ServeControl) -> Result<ServeOutco
         verified,
         drain_reason,
         ticks_run: tick,
-        dispatched: rows.len() as u64,
-        crc_pass: crc_pass.load(Ordering::Relaxed),
-        jobs_completed: jobs_completed.load(Ordering::Relaxed),
+        dispatched,
+        crc_pass,
+        jobs_completed,
         worker_respawns: pool.worker_respawns(),
         boosted_boundaries: governor.boosted_boundaries(),
         elapsed,
@@ -1015,42 +900,32 @@ fn restart_pipeline(pool: &TaskPool, workers: usize) {
 /// when no completion progress happens within `stall_timeout`.
 #[allow(clippy::too_many_arguments)]
 fn wait_for_slot(
-    in_flight: &Arc<(Mutex<usize>, Condvar)>,
-    window: usize,
+    dispatcher: &Dispatcher,
     stall_timeout: Duration,
-    completed_rows: &AtomicU64,
     restarts: &mut u64,
     max_restarts: u64,
-    pool: &TaskPool,
     workers: usize,
     counters: &ServiceCounters,
     lifecycle: &mut Vec<LifecycleEvent>,
     tick: u64,
 ) -> Result<(), String> {
-    let (lock, cv) = &**in_flight;
-    let mut count = lock.lock().unwrap_or_else(PoisonError::into_inner);
-    while *count >= window {
-        let progress_before = completed_rows.load(Ordering::SeqCst);
+    loop {
+        let progress_before = dispatcher.completed_rows();
         let waited_from = Instant::now();
-        let (next, timeout) = cv
-            .wait_timeout(count, stall_timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        count = next;
-        if !timeout.timed_out() {
-            continue;
+        if dispatcher.wait_for_slot(stall_timeout) {
+            return Ok(());
         }
-        let progress_now = completed_rows.load(Ordering::SeqCst);
         match watchdog_verdict(
             waited_from.elapsed(),
             stall_timeout,
             progress_before,
-            progress_now,
+            dispatcher.completed_rows(),
             *restarts,
             max_restarts,
         ) {
             WatchdogVerdict::Wait => {}
             WatchdogVerdict::Restart => {
-                restart_pipeline(pool, workers);
+                restart_pipeline(dispatcher.pool(), workers);
                 *restarts += 1;
                 counters.watchdog_restart();
                 lifecycle.push(LifecycleEvent {
@@ -1067,7 +942,6 @@ fn wait_for_slot(
             }
         }
     }
-    Ok(())
 }
 
 /// Renders SERVE.json (schema `lte-sim-serve-v1`). Everything outside
@@ -1197,6 +1071,25 @@ fn render_openmetrics(o: &ServeOutcome) -> String {
     om.render()
 }
 
+/// The shed tier's rule: drop users cheapest-first — lowest PRB count,
+/// ties to the lowest index — until at most half the PRB load remains;
+/// always shed one, always keep one. Returns the kept user indices in
+/// index order.
+fn shed_cheapest(users: &[UserConfig]) -> Vec<usize> {
+    let total: usize = users.iter().map(|u| u.prbs).sum();
+    let mut submit: Vec<usize> = (0..users.len()).collect();
+    submit.sort_by_key(|&i| (users[i].prbs, i));
+    let mut kept = total;
+    let mut shed = 0usize;
+    while submit.len() > 1 && (shed == 0 || kept * 2 > total) {
+        kept -= users[submit[0]].prbs;
+        submit.remove(0);
+        shed += 1;
+    }
+    submit.sort_unstable();
+    submit
+}
+
 /// The escalation pressure observed for one tick: the raw queue fill,
 /// boosted to at least the reject watermark only once the consecutive
 /// deadline-miss streak *exceeds* `stuck_after` (a full escalation's
@@ -1273,6 +1166,48 @@ mod tests {
             }
         }
         assert_eq!(first_boost, Some(stuck_after));
+    }
+
+    #[test]
+    fn shed_rule_drops_cheapest_users_and_keeps_one() {
+        let user = |prbs| UserConfig::new(prbs, 1, Modulation::Qpsk);
+        for prbs in [
+            vec![2, 4, 8],
+            vec![8, 4, 2],
+            vec![5, 5],
+            vec![3, 2, 3, 2, 6],
+            vec![2, 2, 2, 2, 2, 2, 2],
+            vec![40, 2, 2],
+        ] {
+            let users: Vec<UserConfig> = prbs.iter().map(|&p| user(p)).collect();
+            let kept = shed_cheapest(&users);
+            assert!(
+                kept.windows(2).all(|w| w[0] < w[1]),
+                "{prbs:?}: index order"
+            );
+            assert!(!kept.is_empty(), "{prbs:?}: keeps at least one");
+            assert!(kept.len() < users.len(), "{prbs:?}: sheds at least one");
+            // The shed users are exactly the cheapest prefix of the
+            // (PRB count, index) order.
+            let mut order: Vec<usize> = (0..users.len()).collect();
+            order.sort_by_key(|&i| (prbs[i], i));
+            let n_shed = users.len() - kept.len();
+            let mut shed: Vec<usize> = order[..n_shed].to_vec();
+            shed.sort_unstable();
+            let mut expect_kept: Vec<usize> = order[n_shed..].to_vec();
+            expect_kept.sort_unstable();
+            assert_eq!(kept, expect_kept, "{prbs:?}: cheapest shed first");
+            // It stops as soon as at most half the PRB load remains (or
+            // one user is left), and not one user earlier.
+            let total: usize = prbs.iter().sum();
+            let load = |idx: &[usize]| idx.iter().map(|&i| prbs[i]).sum::<usize>();
+            assert!(kept.len() == 1 || load(&kept) * 2 <= total, "{prbs:?}");
+            if n_shed > 1 {
+                let before_last: Vec<usize> = order[n_shed - 1..].to_vec();
+                assert!(load(&before_last) * 2 > total, "{prbs:?}: shed too many");
+            }
+            assert!(shed.iter().all(|i| !kept.contains(i)));
+        }
     }
 
     #[test]

@@ -101,13 +101,12 @@ pub fn run_trace(ctx: &ExperimentContext) -> TraceArtifacts {
     let shared = std::sync::Arc::new(input.clone());
     let planner = std::sync::Arc::new(FftPlanner::new());
     for _ in 0..8 {
-        crate::benchmark::spawn_user_graph(
+        crate::dispatch::spawn_user_graph(
             &handle,
             &cell,
             &shared,
             TurboMode::Passthrough,
             &planner,
-            false,
             Box::new(|_| {}),
         );
     }

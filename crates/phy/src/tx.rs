@@ -229,9 +229,8 @@ pub fn prewarm_references(cell: &CellConfig, user: &UserConfig) {
 /// the sub-block interleavers for each allocation's bit count (keyed on
 /// size alone — cell-independent by construction, identical for every
 /// cell), and the FFT plans for each allocation width. Multi-cell
-/// deployments call this once per (cell, distinct user config) before
-/// the timed region so no cache write lock is ever taken on the
-/// steady-state path.
+/// deployments call this on each cell's grants before any of the tick's
+/// tasks is spawned, so no worker ever takes a cache write lock.
 pub fn prewarm_cell(cell: &CellConfig, users: &[UserConfig], planner: &FftPlanner) {
     for user in users {
         prewarm_references(cell, user);
