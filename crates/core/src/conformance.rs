@@ -7,8 +7,9 @@
 //! generation, channel estimation per slot × antenna, the matched
 //! filter, MMSE weights, exact and max-log demap LLRs, segmentation +
 //! rate matching, turbo decode (including the SISO alpha/beta/extrinsic
-//! planes), the CRC family, and the end-to-end receiver — is driven with
-//! a fixed seeded input and its output bits are hashed with FNV-1a 64.
+//! planes), the CRC family, the bit-packed pass-through tail, and the
+//! end-to-end receiver — is driven with a fixed seeded input and its
+//! output bits are hashed with FNV-1a 64.
 //! The hashes are committed to `conformance/golden.json`; `lte-sim
 //! vectors --check` recomputes them and fails on any byte drift, with
 //! SIMD dispatch on or forced off (`--scalar`), so a kernel change that
@@ -36,7 +37,9 @@ use lte_dsp::{Complex32, Modulation, Xoshiro256};
 use lte_phy::combiner::{CombinerWeights, MmseScratch};
 use lte_phy::estimator::estimate_slot;
 use lte_phy::params::{CellConfig, TurboMode, UserConfig};
+use lte_phy::receiver::{finish_user, passthrough_tail, TurboScratch, UserResult};
 use lte_phy::tx::synthesize_user_over_channel;
+use lte_phy::StageTimer;
 
 /// Schema tag written into the golden file.
 pub const SCHEMA: &str = "lte-sim-vectors-v1";
@@ -379,6 +382,79 @@ fn crc_vector() -> KernelVector {
     }
 }
 
+/// LLRs for the pass-through tail vector: mostly finite values, with
+/// ±0, ±NaN, ±∞ and ±subnormals mixed in.
+fn tail_llrs(rng: &mut Xoshiro256, n: usize) -> Vec<f32> {
+    const SPECIALS: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 16.0,
+        -f32::MIN_POSITIVE / 16.0,
+    ];
+    (0..n)
+        .map(|_| {
+            let r = rng.next_u32();
+            if r.is_multiple_of(8) {
+                SPECIALS[(r >> 3) as usize % SPECIALS.len()]
+            } else {
+                rng.next_f32() * 8.0 - 4.0
+            }
+        })
+        .collect()
+}
+
+fn passthrough_tail_vector() -> KernelVector {
+    let mut rng = Xoshiro256::seed_from_u64(0x7A11);
+    let mut h = Fnv1a::new();
+    let mut hash_result = |n: usize, result: &UserResult| {
+        h.write_u64(n as u64);
+        h.write(&result.payload);
+        h.write(&[u8::from(result.crc_ok)]);
+    };
+    // Every grid allocation a user can hold (2..=100 PRBs) through
+    // `finish_user`, cycling layers and modulation.
+    let cell = CellConfig::default();
+    let prb_counts = lte_prb_counts().into_iter().filter(|&p| p >= 2);
+    for (i, prbs) in prb_counts.enumerate() {
+        let config = UserConfig::new(prbs, 1 + i % 4, Modulation::ALL[i % 3]);
+        let n = config.bits_per_subframe();
+        let input = lte_phy::grid::UserInput {
+            config,
+            slots: Vec::new(),
+            noise_var: 1.0,
+            ground_truth: Vec::new(),
+        };
+        let llrs = tail_llrs(&mut rng, n);
+        hash_result(
+            n,
+            &finish_user(&cell, &input, TurboMode::Passthrough, &llrs),
+        );
+    }
+    // Frame lengths no allocation produces (n mod 32 != 0: live dummy
+    // padding in the sub-block interleaver).
+    for n in [25, 33, 100, 257, 1001, 4097, 28_801] {
+        let llrs = tail_llrs(&mut rng, n);
+        let c_init = rng.next_u32();
+        let result = passthrough_tail(
+            &llrs,
+            c_init,
+            n - 24,
+            &mut TurboScratch::new(),
+            Vec::new(),
+            &StageTimer::disabled(),
+        );
+        hash_result(n, &result);
+    }
+    KernelVector {
+        kernel: "passthrough-tail".to_string(),
+        hash: h.finish(),
+    }
+}
+
 fn receiver_vector() -> KernelVector {
     let (hash, _users) = crate::fingerprint::canonical_fingerprint(0x901D, 6);
     KernelVector {
@@ -406,6 +482,7 @@ pub fn compute_vectors() -> Vec<KernelVector> {
         matched_filter_vector(),
         crc_vector(),
         receiver_vector(),
+        passthrough_tail_vector(),
     ]
 }
 

@@ -211,6 +211,72 @@ impl Interleaver {
     }
 }
 
+/// 32 bits of an LSB-first packed stream starting at bit `pos`; bits
+/// past the end of `words` read as 0.
+#[inline]
+fn window32(words: &[u64], pos: usize) -> u32 {
+    let (i, s) = (pos / 64, pos % 64);
+    let lo = words.get(i).copied().unwrap_or(0);
+    let hi = words.get(i + 1).copied().unwrap_or(0);
+    ((lo >> s) | ((hi << 1) << (63 - s))) as u32
+}
+
+/// Sub-block deinterleaves `n` bit-packed hard decisions: the packed
+/// counterpart of [`Interleaver::subblock`]`(n).invert`.
+///
+/// `tx` holds the bits in transmission order, LSB-first (bit `i` is bit
+/// `i % 64` of `tx[i / 64]`). `frame` is cleared and receives the
+/// `⌈n / 8⌉` deinterleaved bytes MSB-first (frame bit `j` is bit
+/// `7 − j % 8` of byte `j / 8`), bits past `n` zero. `rows` is scratch.
+///
+/// The transmission stream is the 32 columns in [`COLUMN_PERMUTATION`]
+/// order; column `c`'s segment carries `rows − [c < dummy]` bits and its
+/// row `r` is frame bit `32·r + c − dummy`. Per block of 32 rows this
+/// reads one 32-bit word per column (the columns with `c < dummy` get a
+/// zero dummy bit in front of row 0), transposes the 32×32 block so
+/// every word becomes one row of the dummy-padded frame, and finally
+/// drops the `dummy` leading bits while repacking as bytes. No bit is
+/// gathered on its own.
+///
+/// # Panics
+///
+/// Panics if `tx` holds fewer than `n` bits.
+pub fn deinterleave_packed(tx: &[u64], n: usize, rows: &mut Vec<u32>, frame: &mut Vec<u8>) {
+    assert!(tx.len() * 64 >= n, "transmission buffer too short");
+    let n_rows = n.div_ceil(32);
+    let dummy = 32 * n_rows - n;
+    let n_blocks = n_rows.div_ceil(32);
+    rows.clear();
+    rows.resize(32 * n_blocks + 1, 0);
+    for b in 0..n_blocks {
+        let mut block = [0u32; 32];
+        let mut start = 0;
+        for &col in &COLUMN_PERMUTATION {
+            let pad = usize::from(col < dummy);
+            block[col] = if pad == 1 && b == 0 {
+                window32(tx, start) << 1
+            } else {
+                window32(tx, start + 32 * b - pad)
+            };
+            start += n_rows - pad;
+        }
+        crate::bits::transpose32(&mut block);
+        rows[32 * b..32 * b + 32].copy_from_slice(&block);
+    }
+    let words = n.div_ceil(32);
+    frame.clear();
+    frame.resize(4 * words, 0);
+    for (w, out) in frame.chunks_exact_mut(4).enumerate() {
+        let padded = u64::from(rows[w]) | (u64::from(rows[w + 1]) << 32);
+        let mut bits = (padded >> dummy) as u32;
+        if w + 1 == words && !n.is_multiple_of(32) {
+            bits &= (1u32 << (n % 32)) - 1;
+        }
+        out.copy_from_slice(&bits.reverse_bits().to_be_bytes());
+    }
+    frame.truncate(n.div_ceil(8));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +325,32 @@ mod tests {
         let mut b = vec![0f32; 77];
         il.invert_into(&mixed, &mut b);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn packed_deinterleave_matches_the_permutation() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(0xD1);
+        let mut sizes: Vec<usize> = (1..=300).collect();
+        sizes.extend([1023, 1024, 1025, 6144, 28_800, 86_400, 86_401]);
+        let (mut rows, mut frame) = (Vec::new(), Vec::new());
+        for n in sizes {
+            let tx_bits: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 1) as u8).collect();
+            let mut tx = vec![0u64; n.div_ceil(64)];
+            for (i, &b) in tx_bits.iter().enumerate() {
+                tx[i / 64] |= u64::from(b) << (i % 64);
+            }
+            deinterleave_packed(&tx, n, &mut rows, &mut frame);
+            let want = Interleaver::subblock(n).invert(&tx_bits);
+            assert_eq!(frame.len(), n.div_ceil(8), "n={n}");
+            for (j, &bit) in want.iter().enumerate() {
+                assert_eq!((frame[j / 8] >> (7 - j % 8)) & 1, bit, "n={n} j={j}");
+            }
+            let spare = frame.len() * 8 - n;
+            assert_eq!(
+                frame.last().map_or(0, |&b| b & ((1u16 << spare) - 1) as u8),
+                0
+            );
+        }
     }
 
     #[test]

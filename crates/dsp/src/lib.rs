@@ -10,7 +10,8 @@
 //!   ([`matched_filter`], [`window`]),
 //! * QPSK/16-QAM/64-QAM symbol mapping and exact/max-log soft demapping
 //!   ([`modulation`], [`llr`]),
-//! * block (de)interleaving ([`interleave`]),
+//! * block (de)interleaving ([`interleave`]), including the bit-packed
+//!   pass-through form built on the primitives in [`bits`],
 //! * CRC-8/16/24A/24B generators used by LTE transport channels ([`crc`]),
 //! * FIR filtering for the receive front-end ([`fir`]),
 //! * Q15 fixed-point arithmetic and a block-scaled fixed-point FFT
@@ -40,6 +41,7 @@
 //! ```
 
 pub mod arena;
+pub mod bits;
 pub mod channel;
 pub mod complex;
 pub mod crc;

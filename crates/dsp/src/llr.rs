@@ -133,16 +133,42 @@ pub fn demap_block_exact_into(
     }
 }
 
-/// Hard decisions from LLRs (`llr >= 0` → bit 0).
-pub fn hard_decisions(llrs: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(llrs.len());
-    hard_decisions_into(llrs, &mut out);
-    out
-}
-
-/// [`hard_decisions`] appending into a caller-owned buffer.
-pub fn hard_decisions_into(llrs: &[f32], out: &mut Vec<u8>) {
-    out.extend(llrs.iter().map(|&l| if l >= 0.0 { 0u8 } else { 1 }));
+/// Packed hard decisions on *scrambled* LLRs, fused with descrambling.
+///
+/// On entry `words[i]` holds the scrambling bits `c` of LLRs
+/// `64·i .. 64·i + 64` (bit `k` for LLR `64·i + k`, as
+/// [`crate::scrambling::GoldWords`] produces them); on exit it holds the
+/// hard decisions of the descrambled LLRs, bits past `llrs.len()`
+/// cleared. Only the first `⌈llrs.len() / 64⌉` words are touched.
+///
+/// A decision is 1 unless the descrambled LLR is `>= 0.0`, bit for bit:
+/// descrambling negates, so with `c = 1` the test is `l <= 0.0`. That
+/// rule is *not* `sign ^ c` — `−0.0` decides 0 under either scrambling
+/// bit and NaN decides 1 under either.
+///
+/// Dispatches whole words to the AVX2 kernel when available
+/// ([`crate::simd`]); the scalar loop below gives identical bits.
+///
+/// # Panics
+///
+/// Panics if `words` is shorter than `⌈llrs.len() / 64⌉`.
+pub fn decide_packed(llrs: &[f32], words: &mut [u64]) {
+    let n_words = llrs.len().div_ceil(64);
+    assert!(words.len() >= n_words, "decision buffer too short");
+    let done = crate::simd::decide_packed(llrs, words);
+    for (w, chunk) in words[done..n_words]
+        .iter_mut()
+        .zip(llrs[64 * done..].chunks(64))
+    {
+        let mut ge = 0u64;
+        let mut le = 0u64;
+        for (k, &l) in chunk.iter().enumerate() {
+            ge |= u64::from(l >= 0.0) << k;
+            le |= u64::from(l <= 0.0) << k;
+        }
+        let c = *w;
+        *w = !((c & le) | (!c & ge)) & (u64::MAX >> (64 - chunk.len()));
+    }
 }
 
 /// HARQ chase combining: accumulates a retransmission's LLRs into the
@@ -231,6 +257,15 @@ mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
 
+    /// Unpacked decisions with all scrambling bits zero.
+    fn decide_unscrambled(llrs: &[f32]) -> Vec<u8> {
+        let mut words = vec![0u64; llrs.len().div_ceil(64)];
+        decide_packed(llrs, &mut words);
+        (0..llrs.len())
+            .map(|i| (words[i / 64] >> (i % 64)) as u8 & 1)
+            .collect()
+    }
+
     fn maxlog_reference(m: Modulation, y: Complex32, nv: f32) -> Vec<f32> {
         // Set-based max-log over the full constellation — the executable
         // specification the fast per-axis demappers must match.
@@ -263,7 +298,7 @@ mod tests {
                 .collect();
             let symbols = m.map_bits(&bits);
             let llrs = demap_block(m, &symbols, 0.01);
-            assert_eq!(hard_decisions(&llrs), bits, "{m}");
+            assert_eq!(decide_unscrambled(&llrs), bits, "{m}");
         }
     }
 
@@ -340,8 +375,56 @@ mod tests {
     }
 
     #[test]
-    fn hard_decisions_threshold() {
-        assert_eq!(hard_decisions(&[1.0, -0.5, 0.0, -0.0]), vec![0, 1, 0, 0]);
+    fn packed_decision_threshold() {
+        assert_eq!(
+            decide_unscrambled(&[1.0, -0.5, 0.0, -0.0]),
+            vec![0, 1, 0, 0]
+        );
+    }
+
+    #[test]
+    fn packed_decision_follows_the_descrambled_comparison() {
+        let specials = [
+            1.0f32,
+            -0.5,
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 8.0,
+        ];
+        let mut rng = Xoshiro256::seed_from_u64(13);
+        for n in [0usize, 1, 9, 63, 64, 65, 200, 640] {
+            let llrs: Vec<f32> = (0..n)
+                .map(|_| specials[(rng.next_u64() % specials.len() as u64) as usize])
+                .collect();
+            let c: Vec<u64> = (0..n.div_ceil(64) + 1).map(|_| rng.next_u64()).collect();
+            let mut fast = c.clone();
+            crate::simd::force_scalar(false);
+            decide_packed(&llrs, &mut fast);
+            let mut scalar = c.clone();
+            crate::simd::force_scalar(true);
+            decide_packed(&llrs, &mut scalar);
+            crate::simd::force_scalar(false);
+            assert_eq!(fast, scalar, "n={n}");
+            for (i, &l) in llrs.iter().enumerate() {
+                let flip = (c[i / 64] >> (i % 64)) & 1 == 1;
+                let descrambled = if flip { -l } else { l };
+                let want = if descrambled >= 0.0 { 0 } else { 1 };
+                assert_eq!((fast[i / 64] >> (i % 64)) & 1, want, "n={n} i={i} l={l}");
+            }
+            if n % 64 != 0 {
+                assert_eq!(fast[n / 64] >> (n % 64), 0, "tail bits must be clear");
+            }
+            assert_eq!(
+                fast[n.div_ceil(64)],
+                c[n.div_ceil(64)],
+                "words past the end untouched"
+            );
+        }
     }
 
     #[test]
@@ -357,7 +440,7 @@ mod tests {
         // the essence of chase combining.
         let mut acc = vec![-0.2]; // wrong lean for a transmitted 0
         combine_llrs(&mut acc, &[0.9]); // confident correct retransmission
-        assert_eq!(hard_decisions(&acc), vec![0]);
+        assert_eq!(decide_unscrambled(&acc), vec![0]);
     }
 
     #[test]

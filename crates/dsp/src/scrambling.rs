@@ -76,21 +76,110 @@ pub fn pusch_c_init(n_rnti: u16, codeword: u8, subframe: u32, cell_id: u16) -> u
         | (cell_id as u32 % 504)
 }
 
+/// The Gold sequence generated 64 bits at a time — the word-parallel
+/// form of [`GoldSequence`], producing the identical stream.
+///
+/// Both LFSRs advance 28 bits per step: for a 31-bit window `w` holding
+/// `x(n)..x(n+30)`, every one of the next 28 outputs depends only on
+/// bits already in the window, so `x1` advances as `(w>>3)^w` and `x2`
+/// as `(w>>3)^(w>>2)^(w>>1)^w` on whole words. The `N_C = 1600` warm-up
+/// is 57 steps of 28 bits plus one step of 4.
+///
+/// # Example
+///
+/// ```
+/// use lte_dsp::scrambling::{GoldSequence, GoldWords};
+///
+/// let word = GoldWords::new(0x1234).next_word();
+/// let mut g = GoldSequence::new(0x1234);
+/// for k in 0..64 {
+///     assert_eq!((word >> k) as u8 & 1, g.next_bit());
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct GoldWords {
+    x1: u32,
+    x2: u32,
+    /// Generated bits not yet handed out, oldest in bit 0.
+    buf: u64,
+    /// Number of valid bits in `buf` (always < 64 between calls).
+    fill: u32,
+}
+
+/// Bits produced per word-parallel LFSR step.
+const STEP: u32 = 28;
+const STEP_MASK: u32 = (1 << STEP) - 1;
+
+impl GoldWords {
+    /// The generator for `c_init` (truncated to 31 bits), advanced past
+    /// the `N_C = 1600` warm-up.
+    pub fn new(c_init: u32) -> Self {
+        let mut g = GoldWords {
+            x1: 1,
+            x2: c_init & 0x7FFF_FFFF,
+            buf: 0,
+            fill: 0,
+        };
+        for _ in 0..NC / STEP as usize {
+            g.advance(STEP);
+        }
+        g.advance((NC % STEP as usize) as u32);
+        g
+    }
+
+    /// Advances both LFSRs `n <= 28` steps.
+    #[inline]
+    fn advance(&mut self, n: u32) {
+        let mask = (1u32 << n) - 1;
+        let x1 = self.x1;
+        let x2 = self.x2;
+        let new1 = ((x1 >> 3) ^ x1) & mask;
+        let new2 = ((x2 >> 3) ^ (x2 >> 2) ^ (x2 >> 1) ^ x2) & mask;
+        self.x1 = (x1 >> n) | (new1 << (31 - n));
+        self.x2 = (x2 >> n) | (new2 << (31 - n));
+    }
+
+    /// The next 64 scrambling bits, `c(n)` in bit 0.
+    #[inline]
+    pub fn next_word(&mut self) -> u64 {
+        loop {
+            let chunk = u64::from((self.x1 ^ self.x2) & STEP_MASK);
+            self.advance(STEP);
+            let fill = self.fill;
+            self.buf |= chunk << fill;
+            if fill + STEP >= 64 {
+                let word = self.buf;
+                self.fill = fill + STEP - 64;
+                // The chunk's bits that did not fit (none when it ended
+                // exactly on the word boundary).
+                self.buf = (chunk >> (63 - fill)) >> 1;
+                return word;
+            }
+            self.fill = fill + STEP;
+        }
+    }
+}
+
 /// Scrambles a bit vector in place (XOR with the sequence).
 pub fn scramble_bits(bits: &mut [u8], c_init: u32) {
-    let mut g = GoldSequence::new(c_init);
-    for b in bits.iter_mut() {
-        *b ^= g.next_bit();
+    let mut g = GoldWords::new(c_init);
+    for chunk in bits.chunks_mut(64) {
+        let c = g.next_word();
+        for (k, b) in chunk.iter_mut().enumerate() {
+            *b ^= (c >> k) as u8 & 1;
+        }
     }
 }
 
 /// Descrambles soft values in place: flips the sign of every LLR whose
-/// scrambling bit was 1.
+/// scrambling bit was 1. The flip is a sign-bit XOR, which equals
+/// negation for every `f32`, NaN and ±0 included.
 pub fn descramble_llrs(llrs: &mut [f32], c_init: u32) {
-    let mut g = GoldSequence::new(c_init);
-    for l in llrs.iter_mut() {
-        if g.next_bit() == 1 {
-            *l = -*l;
+    let mut g = GoldWords::new(c_init);
+    for chunk in llrs.chunks_mut(64) {
+        let c = g.next_word();
+        for (k, l) in chunk.iter_mut().enumerate() {
+            *l = f32::from_bits(l.to_bits() ^ ((((c >> k) & 1) as u32) << 31));
         }
     }
 }
@@ -157,6 +246,57 @@ mod tests {
         descramble_llrs(&mut llrs, c_init);
         let rx: Vec<u8> = llrs.iter().map(|&l| (l < 0.0) as u8).collect();
         assert_eq!(rx, clean_bits);
+    }
+
+    #[test]
+    fn word_stream_equals_the_bit_serial_stream() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(0x601D);
+        let mut inits = vec![0u32, 1, 0x1234, 0x7FFF_FFFF];
+        inits.extend((0..20).map(|_| rng.next_u32()));
+        for c_init in inits {
+            let reference = GoldSequence::new(c_init).bits(86_400);
+            let mut g = GoldWords::new(c_init);
+            let words: Vec<u64> = (0..86_400usize.div_ceil(64))
+                .map(|_| g.next_word())
+                .collect();
+            for (n, &bit) in reference.iter().enumerate() {
+                assert_eq!(
+                    (words[n / 64] >> (n % 64)) as u8 & 1,
+                    bit,
+                    "c_init {c_init:#x} n={n}"
+                );
+            }
+            // Every prefix length scrambles like the bit-serial loop.
+            for len in 0..=200 {
+                let mut bits = vec![0u8; len];
+                scramble_bits(&mut bits, c_init);
+                assert_eq!(bits, reference[..len], "c_init {c_init:#x} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn descrambling_is_negation_for_every_value() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+            1.5,
+            -2.25,
+        ];
+        let llrs: Vec<f32> = (0..300).map(|i| specials[i % specials.len()]).collect();
+        let mut fast = llrs.clone();
+        descramble_llrs(&mut fast, 0x0BAD);
+        let mut g = GoldSequence::new(0x0BAD);
+        for (l, f) in llrs.iter().zip(&fast) {
+            let want = if g.next_bit() == 1 { -*l } else { *l };
+            assert_eq!(f.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -288,6 +288,21 @@ pub(crate) fn demap_block_maxlog(
     }
 }
 
+/// Packed hard decisions over whole 64-LLR words (see
+/// [`crate::llr::decide_packed`]). Returns how many leading words it
+/// decided; the caller finishes the rest with the scalar loop.
+pub(crate) fn decide_packed(llrs: &[f32], words: &mut [u64]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        let n = llrs.len() / 64;
+        // SAFETY: AVX2+FMA presence was checked by `simd_enabled`.
+        unsafe { x86::decide_packed(&llrs[..64 * n], &mut words[..n]) };
+        return n;
+    }
+    let _ = (llrs, words);
+    0
+}
+
 /// The AVX2+FMA kernels. Every function is a line-by-line vector
 /// transcription of the scalar reference it replaces; comments in each
 /// note the scalar expression being reproduced.
@@ -318,6 +333,35 @@ pub(crate) mod x86 {
     #[inline]
     pub(crate) unsafe fn store(p: *mut Complex32, v: __m256) {
         unsafe { _mm256_storeu_ps(p.cast::<f32>(), v) }
+    }
+
+    /// Packed hard decisions, 64 LLRs per word: ordered `>=`/`<=`
+    /// compares against zero (false on NaN, true on ±0 — exactly the
+    /// scalar `l >= 0.0` / `l <= 0.0`), eight lanes per `movemask`, then
+    /// the scalar word rule `!((c & le) | (!c & ge))`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the dispatcher checks with
+    /// `simd_enabled`).
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn decide_packed(llrs: &[f32], words: &mut [u64]) {
+        debug_assert_eq!(llrs.len(), 64 * words.len());
+        let zero = _mm256_setzero_ps();
+        for (w, chunk) in words.iter_mut().zip(llrs.chunks_exact(64)) {
+            let mut ge = 0u64;
+            let mut le = 0u64;
+            for k in 0..8 {
+                // SAFETY: `chunk` holds 64 floats; lane group k is in bounds.
+                let x = unsafe { _mm256_loadu_ps(chunk.as_ptr().add(8 * k)) };
+                let g = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(x, zero)) as u64;
+                let l = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(x, zero)) as u64;
+                ge |= g << (8 * k);
+                le |= l << (8 * k);
+            }
+            let c = *w;
+            *w = !((c & le) | (!c & ge));
+        }
     }
 
     /// Complex multiply `b·w` (four pairs), reproducing `Complex32::mul`:

@@ -134,11 +134,15 @@ pub enum Stage {
     Combining,
     /// Soft demapping to LLRs.
     Demap,
-    /// Deinterleave + descramble.
+    /// Descramble + deinterleave. In pass-through mode this also holds
+    /// the packed hard decision: Gold words, the fused descramble +
+    /// decision and the bit-transpose deinterleave.
     Deinterleave,
-    /// Turbo decode (or pass-through hard decision).
+    /// Turbo decode. Pass-through mode has no decoder and records no
+    /// span here.
     Turbo,
-    /// Transport-block CRC check.
+    /// Transport-block CRC check; in pass-through mode also the unpack
+    /// of the payload to one byte per bit.
     Crc,
 }
 

@@ -11,12 +11,13 @@
 use std::cell::RefCell;
 
 use lte_dsp::arena::ScratchArena;
+use lte_dsp::bits::unpack_msb_into;
 use lte_dsp::crc::CRC24A;
 use lte_dsp::fft::FftPlanner;
-use lte_dsp::interleave::{subblock_cached, Interleaver};
-use lte_dsp::llr::{demap_block, demap_block_into, hard_decisions, hard_decisions_into};
+use lte_dsp::interleave::{deinterleave_packed, subblock_cached, Interleaver};
+use lte_dsp::llr::{decide_packed, demap_block, demap_block_into};
 use lte_dsp::rate_match::RateMatcher;
-use lte_dsp::scrambling::descramble_llrs;
+use lte_dsp::scrambling::{descramble_llrs, GoldWords};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::turbo::{TurboDecoder, TurboLlrs, TurboWorkspace};
 use lte_dsp::Complex32;
@@ -45,18 +46,24 @@ impl UserResult {
     }
 }
 
-/// Per-worker turbo-decode state: a small cache of constructed
+/// Per-worker decode-tail state: a small cache of constructed
 /// decoder/rate-matcher pairs keyed on `(block size, iterations)` (QPP
 /// interleaver construction is far too expensive to repeat per subframe),
-/// the reusable SISO workspace, and the LLR/bit staging buffers. With a
-/// warm cache the whole decode tail allocates nothing — the fix for
-/// turbo mode having been outside PR 3's zero-alloc guarantee.
+/// the reusable SISO workspace, the LLR/bit staging buffers, and the
+/// pass-through tail's packed buffers. With a warm cache neither tail
+/// allocates.
 #[derive(Default)]
 pub struct TurboScratch {
     codecs: Vec<(usize, usize, TurboDecoder, RateMatcher)>,
     workspace: TurboWorkspace,
     llrs: TurboLlrs,
     block_bits: Vec<u8>,
+    /// Gold words, then the hard decisions, in transmission order.
+    decisions: Vec<u64>,
+    /// Dummy-padded frame rows out of the bit transpose.
+    rows: Vec<u32>,
+    /// The deinterleaved frame, MSB-first bytes.
+    frame: Vec<u8>,
 }
 
 impl TurboScratch {
@@ -179,33 +186,24 @@ pub fn finish_user_traced<R: Recorder>(
     let user = &input.config;
     let total = user.bits_per_subframe();
     assert_eq!(llrs.len(), total, "LLR count must match the allocation");
-    let plan = FramePlan::for_user(user, mode);
-    let (mut frame_bits, expected_len) = match (mode, plan) {
+    let c_init = crate::tx::scrambling_init(cell, user);
+    // This reference path builds its scratch fresh each call; the
+    // steady-state path reuses a per-worker [`TurboScratch`].
+    let mut turbo = TurboScratch::new();
+    match (mode, FramePlan::for_user(user, mode)) {
         (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
-            // Undo the Gold-sequence scrambling (sign flips), then
-            // deinterleave before the hard decision.
-            let deinterleaved = timer.time(Stage::Deinterleave, || {
-                let mut llrs = llrs.to_vec();
-                descramble_llrs(&mut llrs, crate::tx::scrambling_init(cell, user));
-                subblock_cached(total).invert(&llrs)
-            });
-            timer.time(Stage::Turbo, || {
-                (hard_decisions(&deinterleaved), payload_bits + 24)
-            })
+            passthrough_tail(llrs, c_init, payload_bits, &mut turbo, Vec::new(), timer)
         }
         (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
             // Descramble only: the deinterleave is fused into the
             // per-block rate-match gather inside `decode_transport`, so
-            // the deinterleaved buffer is never materialised. This
-            // reference path builds its turbo state fresh each call; the
-            // steady-state path reuses a per-worker [`TurboScratch`].
+            // the deinterleaved buffer is never materialised.
             let descrambled = timer.time(Stage::Deinterleave, || {
                 let mut llrs = llrs.to_vec();
-                descramble_llrs(&mut llrs, crate::tx::scrambling_init(cell, user));
+                descramble_llrs(&mut llrs, c_init);
                 llrs
             });
-            timer.time(Stage::Turbo, || {
-                let mut turbo = TurboScratch::new();
+            let mut bits = timer.time(Stage::Turbo, || {
                 let mut bits = Vec::new();
                 decode_transport(
                     &mut turbo,
@@ -215,26 +213,22 @@ pub fn finish_user_traced<R: Recorder>(
                     transport_bits,
                     &mut bits,
                 );
-                (bits, transport_bits)
-            })
+                bits
+            });
+            let crc_ok = timer.time(Stage::Crc, || check_transport(&mut bits, transport_bits));
+            UserResult {
+                payload: bits,
+                crc_ok,
+            }
         }
         _ => unreachable!("plan always matches mode"),
-    };
-    let crc_ok = timer.time(Stage::Crc, || {
-        frame_bits.truncate(expected_len);
-        CRC24A.check_bits(&frame_bits)
-    });
-    frame_bits.truncate(expected_len - 24);
-    UserResult {
-        payload: frame_bits,
-        crc_ok,
     }
 }
 
-/// [`finish_user`] with every working buffer drawn from `arena` — the
-/// zero-allocation tail of the steady-state path. The returned payload's
-/// storage also comes from the arena; callers that want a fully
-/// allocation-free loop hand it back with
+/// [`finish_user`] with every working buffer drawn from `arena` and
+/// `turbo` — the zero-allocation tail of the steady-state path. The
+/// returned payload's storage also comes from the arena; callers that
+/// want a fully allocation-free loop hand it back with
 /// [`ScratchArena::recycle_u8`] once they are done with it.
 ///
 /// Arithmetic and ordering match [`finish_user`] exactly, so results are
@@ -254,49 +248,110 @@ pub fn finish_user_with_arena(
     let user = &input.config;
     let total = user.bits_per_subframe();
     assert_eq!(llrs.len(), total, "LLR count must match the allocation");
-    // Undo the Gold-sequence scrambling (sign flips).
-    let mut scrambled = arena.take_f32(total);
-    scrambled.extend_from_slice(llrs);
-    descramble_llrs(&mut scrambled, crate::tx::scrambling_init(cell, user));
-    let plan = FramePlan::for_user(user, mode);
-    let (mut frame_bits, expected_len) = match (mode, plan) {
+    let c_init = crate::tx::scrambling_init(cell, user);
+    match (mode, FramePlan::for_user(user, mode)) {
         (TurboMode::Passthrough, FramePlan::Passthrough { payload_bits }) => {
-            let mut deinterleaved = arena.take_f32(total);
-            deinterleaved.resize(total, 0.0);
-            subblock_cached(total).invert_into(&scrambled, &mut deinterleaved);
-            let mut bits = arena.take_u8(total);
-            hard_decisions_into(&deinterleaved, &mut bits);
-            arena.recycle_f32(deinterleaved);
-            (bits, payload_bits + 24)
+            let payload = arena.take_u8(payload_bits);
+            passthrough_tail(
+                llrs,
+                c_init,
+                payload_bits,
+                turbo,
+                payload,
+                &StageTimer::disabled(),
+            )
         }
         (TurboMode::Decode { iterations }, FramePlan::Coded { transport_bits, .. }) => {
             // Decode through the per-worker turbo scratch with the
             // deinterleave fused into each block's rate-match gather:
             // with a warm codec cache the whole tail — gather-dematch,
             // SISO iterations, desegmentation — reuses held buffers and
-            // allocates nothing, and the separate deinterleave pass over
-            // the allocation is gone entirely.
+            // allocates nothing.
+            let mut descrambled = arena.take_f32(total);
+            descrambled.extend_from_slice(llrs);
+            descramble_llrs(&mut descrambled, c_init);
             let mut bits = arena.take_u8(transport_bits);
             decode_transport(
                 turbo,
-                &scrambled,
+                &descrambled,
                 &subblock_cached(total),
                 iterations,
                 transport_bits,
                 &mut bits,
             );
-            (bits, transport_bits)
+            arena.recycle_f32(descrambled);
+            let crc_ok = check_transport(&mut bits, transport_bits);
+            UserResult {
+                payload: bits,
+                crc_ok,
+            }
         }
         _ => unreachable!("plan always matches mode"),
-    };
-    arena.recycle_f32(scrambled);
-    frame_bits.truncate(expected_len);
-    let crc_ok = CRC24A.check_bits(&frame_bits);
-    frame_bits.truncate(expected_len - 24);
-    UserResult {
-        payload: frame_bits,
-        crc_ok,
     }
+}
+
+/// Checks a decoded transport block's CRC-24A and strips it, leaving the
+/// payload in `bits`.
+fn check_transport(bits: &mut Vec<u8>, transport_bits: usize) -> bool {
+    bits.truncate(transport_bits);
+    let crc_ok = CRC24A.check_bits(bits);
+    bits.truncate(transport_bits - 24);
+    crc_ok
+}
+
+/// The pass-through tail, bit-packed from the hard decision onward: the
+/// one implementation behind [`finish_user_traced`] and
+/// [`finish_user_with_arena`].
+///
+/// `llrs` are the raw (still scrambled and interleaved) LLRs of a frame
+/// of `llrs.len()` bits whose first `payload_bits + 24` bits are the
+/// CRC-24A-protected payload; `c_init` seeds the scrambling sequence.
+/// The decoded payload is written into `payload` (cleared first; pass an
+/// arena buffer to stay allocation-free) and returned with the CRC
+/// verdict. Every packed buffer lives in `turbo`.
+///
+/// Under [`Stage::Deinterleave`]: the Gold sequence 64 bits per word,
+/// the fused descramble + hard decision ([`decide_packed`]), and the
+/// bit-transpose deinterleave ([`deinterleave_packed`]). Under
+/// [`Stage::Crc`]: the table-driven CRC-24A over the packed frame and
+/// the table unpack of the payload to one byte per bit. The bits equal
+/// descramble → deinterleave → `!(llr >= 0.0)` → bit-serial CRC for
+/// every input, ±0 and NaN included.
+///
+/// # Panics
+///
+/// Panics if `payload_bits + 24 > llrs.len()`.
+pub fn passthrough_tail<R: Recorder>(
+    llrs: &[f32],
+    c_init: u32,
+    payload_bits: usize,
+    turbo: &mut TurboScratch,
+    mut payload: Vec<u8>,
+    timer: &StageTimer<'_, R>,
+) -> UserResult {
+    let n = llrs.len();
+    let frame_bits = payload_bits + 24;
+    assert!(frame_bits <= n, "frame longer than the allocation");
+    let TurboScratch {
+        decisions,
+        rows,
+        frame,
+        ..
+    } = turbo;
+    timer.time(Stage::Deinterleave, || {
+        let mut gold = GoldWords::new(c_init);
+        decisions.clear();
+        decisions.extend((0..n.div_ceil(64)).map(|_| gold.next_word()));
+        decide_packed(llrs, decisions);
+        deinterleave_packed(decisions, n, rows, frame);
+    });
+    let crc_ok = timer.time(Stage::Crc, || {
+        payload.clear();
+        payload.resize(payload_bits, 0);
+        unpack_msb_into(frame, &mut payload);
+        CRC24A.compute_packed(frame, frame_bits) == 0
+    });
+    UserResult { payload, crc_ok }
 }
 
 /// Soft-demaps one combined (symbol, layer) block into LLRs.
@@ -769,6 +824,7 @@ mod tests {
         let fresh = finish_user(&cell, &input, TurboMode::Passthrough, &llrs);
         let mut arena = ScratchArena::new();
         let mut turbo = TurboScratch::new();
+        let mut storage = None;
         for _ in 0..3 {
             let pooled = finish_user_with_arena(
                 &cell,
@@ -779,9 +835,13 @@ mod tests {
                 &mut turbo,
             );
             assert_eq!(fresh, pooled);
+            // The payload is the tail's only arena buffer: once recycled,
+            // the next call must write into the same storage.
+            let ptr = pooled.payload.as_ptr();
+            assert_eq!(*storage.get_or_insert(ptr), ptr, "payload must be reused");
             arena.recycle_u8(pooled.payload);
         }
-        assert!(arena.pooled_buffers() >= 3, "buffers must return to pool");
+        assert!(arena.pooled_buffers() >= 1, "buffers must return to pool");
     }
 
     #[test]
@@ -799,28 +859,31 @@ mod tests {
 
         let cell = CellConfig::default();
         let user = UserConfig::new(6, 2, Modulation::Qam16);
-        let input = synthesize_user(&cell, &user, 30.0, &mut Xoshiro256::seed_from_u64(21));
-        let plain = process_user(&cell, &input, TurboMode::Passthrough);
-
-        let recorder = RingRecorder::new(1 << 16);
-        let timer = StageTimer::new(&recorder);
         let planner = FftPlanner::new();
-        let traced = process_user_traced(&cell, &input, TurboMode::Passthrough, &planner, &timer);
-        assert_eq!(plain, traced, "tracing must not change results");
-
-        let mut seen = std::collections::BTreeSet::new();
-        for ev in recorder.events() {
-            if let Event::StageSpan {
-                stage,
-                start_ns,
-                end_ns,
-            } = ev
-            {
-                assert!(end_ns >= start_ns);
-                seen.insert(stage.name());
+        let stages_seen = |mode: TurboMode, seed: u64| {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let input = synthesize_user_with_mode(&cell, &user, mode, 30.0, &mut rng);
+            let plain = process_user(&cell, &input, mode);
+            let recorder = RingRecorder::new(1 << 16);
+            let timer = StageTimer::new(&recorder);
+            let traced = process_user_traced(&cell, &input, mode, &planner, &timer);
+            assert_eq!(plain, traced, "tracing must not change results");
+            assert!(traced.matches(&input.ground_truth));
+            let mut seen = std::collections::BTreeSet::new();
+            for ev in recorder.events() {
+                if let Event::StageSpan {
+                    stage,
+                    start_ns,
+                    end_ns,
+                } = ev
+                {
+                    assert!(end_ns >= start_ns);
+                    seen.insert(stage.name());
+                }
             }
-        }
-        for stage in [
+            seen
+        };
+        let front_and_tail = [
             Stage::MatchedFilter,
             Stage::Ifft,
             Stage::Window,
@@ -829,10 +892,67 @@ mod tests {
             Stage::Combining,
             Stage::Demap,
             Stage::Deinterleave,
-            Stage::Turbo,
             Stage::Crc,
-        ] {
-            assert!(seen.contains(stage.name()), "no span for {stage}");
+        ];
+        // Pass-through has no decoder: its hard decision runs under
+        // Deinterleave, so no Turbo span appears.
+        let passthrough = stages_seen(TurboMode::Passthrough, 21);
+        for stage in front_and_tail {
+            assert!(passthrough.contains(stage.name()), "no span for {stage}");
+        }
+        assert!(!passthrough.contains(Stage::Turbo.name()));
+        let decode = stages_seen(TurboMode::Decode { iterations: 2 }, 22);
+        for stage in front_and_tail.iter().chain(&[Stage::Turbo]) {
+            assert!(decode.contains(stage.name()), "no span for {stage}");
+        }
+    }
+
+    #[test]
+    fn passthrough_tail_equals_the_byte_per_bit_reference() {
+        // Odd frame lengths (n mod 32 != 0, so dummy padding is live)
+        // and LLRs from the special values, against the unpacked chain:
+        // descramble → deinterleave → `l >= 0.0` → bit-serial CRC.
+        let specials = [
+            2.0f32,
+            -3.0,
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+        ];
+        let mut rng = Xoshiro256::seed_from_u64(0x7A11);
+        let mut turbo = TurboScratch::new();
+        for n in [25usize, 31, 33, 95, 100, 257, 1000, 4097] {
+            let llrs: Vec<f32> = (0..n)
+                .map(|_| specials[(rng.next_u64() % specials.len() as u64) as usize])
+                .collect();
+            let c_init = rng.next_u32();
+            let got = passthrough_tail(
+                &llrs,
+                c_init,
+                n - 24,
+                &mut turbo,
+                Vec::new(),
+                &StageTimer::disabled(),
+            );
+            let mut descrambled = llrs.clone();
+            let mut gold = lte_dsp::scrambling::GoldSequence::new(c_init);
+            for l in descrambled.iter_mut() {
+                if gold.next_bit() == 1 {
+                    *l = -*l;
+                }
+            }
+            let frame: Vec<u8> = Interleaver::subblock(n)
+                .invert(&descrambled)
+                .iter()
+                .map(|&l| if l >= 0.0 { 0 } else { 1 })
+                .collect();
+            assert_eq!(got.payload, frame[..n - 24], "n={n}");
+            assert_eq!(got.crc_ok, CRC24A.check_bits(&frame), "n={n}");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! steady-state path fails this test with the exact allocation count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lte_dsp::fft::FftPlanner;
 use lte_dsp::interleave::prewarm_subblock;
@@ -20,24 +20,38 @@ use lte_phy::tx::{prewarm_references, synthesize_user, synthesize_user_with_mode
 
 /// Forwards to the system allocator, counting every allocation (fresh,
 /// zeroed, and growing reallocations — the three ways the hot path could
-/// touch the heap).
+/// touch the heap) per thread. The pooled path runs on the calling
+/// thread, so each test reads only its own allocations, not those of
+/// tests running beside it.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown are not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the current thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -83,11 +97,11 @@ fn steady_state_subframe_is_allocation_free() {
         run_once(&cell, &input, &planner);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..5 {
         run_once(&cell, &input, &planner);
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "steady-state subframe processing hit the heap {delta} times"
@@ -118,11 +132,11 @@ fn steady_state_turbo_subframe_is_allocation_free() {
         run_once_with_mode(&cell, &input, mode, &planner);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..5 {
         run_once_with_mode(&cell, &input, mode, &planner);
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "steady-state turbo subframe processing hit the heap {delta} times"
@@ -156,7 +170,7 @@ fn telemetry_recording_is_allocation_free() {
         run_once(&cell, &input, &planner);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..5u64 {
         let result = process_user_pooled(&cell, &input, TurboMode::Passthrough, &planner);
         latency.record(1_000 * (round + 1));
@@ -166,7 +180,7 @@ fn telemetry_recording_is_allocation_free() {
         subframes.add(1);
         UserScratch::with(|s| s.arena.recycle_u8(result.payload));
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "telemetry-instrumented subframe processing hit the heap {delta} times"

@@ -20,19 +20,23 @@
 //! lte-fuzz [TARGET] [--iters N] [--seed S]
 //! TARGET: demap | fft | segmentation | rate-match | turbo |
 //!         turbo-simd | turbo-early-term | matched-filter |
-//!         calibration | all (default)
+//!         packed-tail | calibration | all (default)
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
-use lte_dsp::llr::{demap_block_exact_into, demap_block_into};
+use lte_dsp::interleave::{deinterleave_packed, Interleaver};
+use lte_dsp::llr::{decide_packed, demap_block_exact_into, demap_block_into};
 use lte_dsp::matched_filter::{matched_filter, matched_filter_inplace};
 use lte_dsp::rate_match::RateMatcher;
+use lte_dsp::scrambling::{GoldSequence, GoldWords};
 use lte_dsp::segmentation::Segmentation;
 use lte_dsp::simd::force_scalar;
 use lte_dsp::turbo::{supported_block_sizes, TurboDecoder, TurboEncoder, TurboLlrs};
 use lte_dsp::{Complex32, Modulation, Xoshiro256};
+use lte_phy::receiver::{passthrough_tail, TurboScratch};
+use lte_phy::{StageTimer, UserConfig};
 use lte_power::WorkloadEstimator;
 
 type Target = (&'static str, fn(u64));
@@ -46,6 +50,7 @@ const TARGETS: &[Target] = &[
     ("turbo-simd", fuzz_turbo_simd),
     ("turbo-early-term", fuzz_turbo_early_term),
     ("matched-filter", fuzz_matched_filter),
+    ("packed-tail", fuzz_packed_tail),
     ("calibration", fuzz_calibration),
 ];
 
@@ -119,7 +124,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: lte-fuzz [demap|fft|segmentation|rate-match|turbo|turbo-simd|\
-         turbo-early-term|matched-filter|calibration|all] [--iters N] [--seed S]"
+         turbo-early-term|matched-filter|packed-tail|calibration|all] [--iters N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -155,6 +160,100 @@ fn assert_bits_equal(simd: &[f32], scalar: &[f32], what: &str) {
             b.to_bits()
         );
     }
+}
+
+/// The byte-per-bit pass-through chain the packed tail must reproduce:
+/// bit-serial Gold descramble → sub-block deinterleave → `l >= 0.0`.
+fn reference_frame(llrs: &[f32], c_init: u32) -> Vec<u8> {
+    let mut gold = GoldSequence::new(c_init);
+    let descrambled: Vec<f32> = llrs
+        .iter()
+        .map(|&l| if gold.next_bit() == 1 { -l } else { l })
+        .collect();
+    Interleaver::subblock(llrs.len())
+        .invert(&descrambled)
+        .iter()
+        .map(|&l| if l >= 0.0 { 0 } else { 1 })
+        .collect()
+}
+
+/// Bit-serial CRC-24A (`0x864CFB`, zero initial register).
+fn reference_crc24a(bits: &[u8]) -> u32 {
+    let mut reg = 0u32;
+    for &b in bits {
+        let fb = ((reg >> 23) ^ u32::from(b)) & 1;
+        reg = (reg << 1) & 0xFF_FFFF;
+        if fb == 1 {
+            reg ^= 0x86_4CFB;
+        }
+    }
+    reg
+}
+
+fn fuzz_packed_tail(seed: u64) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let n = if rng.next_below(4) == 0 {
+        let prbs = 2 + rng.next_below(99) as usize;
+        let layers = 1 + rng.next_below(4) as usize;
+        UserConfig::new(prbs, layers, random_modulation(&mut rng)).bits_per_subframe()
+    } else {
+        1 + rng.next_below(2048) as usize
+    };
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+    ];
+    let llrs: Vec<f32> = (0..n)
+        .map(|_| match rng.next_below(4) {
+            0 => specials[rng.next_below(specials.len() as u64) as usize],
+            _ => (rng.next_f32() * 2.0 - 1.0) * 10f32.powi(rng.next_below(61) as i32 - 30),
+        })
+        .collect();
+    let c_init = rng.next_u32();
+    let frame = reference_frame(&llrs, c_init);
+    let payload_bits = (n >= 24).then(|| rng.next_below((n - 23) as u64) as usize);
+    let mut turbo = TurboScratch::new();
+    for scalar in [false, true] {
+        force_scalar(scalar);
+        // Kernel level, every length: decisions and deinterleave.
+        let mut gold = GoldWords::new(c_init);
+        let mut words: Vec<u64> = (0..n.div_ceil(64)).map(|_| gold.next_word()).collect();
+        decide_packed(&llrs, &mut words);
+        let (mut rows, mut packed) = (Vec::new(), Vec::new());
+        deinterleave_packed(&words, n, &mut rows, &mut packed);
+        for (j, &bit) in frame.iter().enumerate() {
+            assert_eq!(
+                (packed[j / 8] >> (7 - j % 8)) & 1,
+                bit,
+                "packed-tail: frame bit {j} of {n} diverged (scalar={scalar})"
+            );
+        }
+        // The receiver's whole tail, wherever a CRC-protected frame fits.
+        if let Some(payload_bits) = payload_bits {
+            let result = passthrough_tail(
+                &llrs,
+                c_init,
+                payload_bits,
+                &mut turbo,
+                Vec::new(),
+                &StageTimer::disabled(),
+            );
+            assert_eq!(
+                result.payload,
+                frame[..payload_bits],
+                "packed-tail: payload"
+            );
+            let crc_ok = reference_crc24a(&frame[..payload_bits + 24]) == 0;
+            assert_eq!(result.crc_ok, crc_ok, "packed-tail: CRC verdict");
+        }
+    }
+    force_scalar(false);
 }
 
 fn fuzz_demap(seed: u64) {
